@@ -1,45 +1,54 @@
 """Tier-4 flat core: regions lowered to pre-decoded arrays, no compile().
 
-Tier 3 (repro.cpu.regions) generates Python source per region and pays
-``compile()`` for it — roughly 10 us per instruction of region, which
-both caps how aggressively regions can be planned (DEFER_FACTOR) and
-shows up directly in the bench wall time. Tier 4 keeps the tier-3
-*planner* (the superblock selection over the tier-2 edge profile) but
-replaces code generation with a lowering pass: every member
-instruction becomes one or more entries in parallel integer arrays —
-opcode-handler index, rd/rs1/rs2, folded immediates, and static
-per-site catch-up metadata — executed by one shared dispatch loop
-(``_run``) whose hot state lives in function locals.
+Regions picked by the planner (repro.cpu.regions) are lowered, not
+compiled: every member instruction becomes one or more entries in
+parallel integer arrays — opcode-handler index, rd/rs1/rs2, folded
+immediates, and static per-site catch-up metadata — executed by one
+shared dispatch loop (``_run``) whose hot state lives in function
+locals. Lowering is pure data manipulation (a few us per region), so
+alternate-entry duplicate heads are cheap to build (``DEFER_FACTOR``)
+and region coverage recovers fast after every flush.
 
-What the flat representation changes relative to tier 3:
-
-* zero compile cost: lowering is pure data manipulation (a few us per
-  region), so duplicate alternate-entry heads are worth lowering far
-  earlier (``DEFER_FACTOR`` 8 instead of 256) and region coverage
-  grows faster after every flush;
 * the register file is the live ``core.regs`` list indexed by
   pre-decoded operand numbers — no per-region register locals, no
   flush on exit, and the architectural file is always current when a
   fault propagates (the ``except`` repair only drains counters);
+* conditional branches are specialized on their profiled direction:
+  the hot side continues in the stream, the cold side is a side exit
+  that catches counters up and returns to the trampoline (which falls
+  back to tier-2/tier-1 dispatch at the exit pc);
 * branch/jump penalty cycles and muldiv latency are *statically
   deferred*: the lowering records cumulative penalty counts per site
   (``BP``/``MU``) exactly like the retire counter (``NI``), so the hot
-  loop does not touch ``stats`` at all between syncs — tier 3 pays two
-  attribute round-trips per taken branch;
-* all other accounting is the tier-3 protocol verbatim: deferred
-  retire catch-up (``fc``), deferred I-fetch hit credit (``PQ``/
-  ``pf``), LRU change-lists replayed by ``_lf`` (dedup-by-last), the
-  numeric D-hit counters (``dh``/``ch``) drained at exits and raises
-  only, last-page cached frame views behind a page+alignment guard,
-  warm-loop I-probe elision with rotation-table replay (``_IRT``),
-  side exits, the ``_block_abort`` SMC deopt, and the loop backedge
-  budget check.
+  loop does not touch ``stats`` at all between syncs;
+* deferred retire catch-up (``fc``) and I-fetch hit credit (``PQ``/
+  ``pf``); LRU change-lists replayed by ``_lf`` (dedup-by-last-
+  occurrence replay is invariant under collapsing consecutive
+  duplicates, so the reconstructed order is the eager order); numeric
+  D-hit counters (``dh``/``ch``) drained at exits and raises only;
+* the D-side hit path holds the last load/store page's frame view
+  behind a page+alignment guard (``va & GM == lvb``) with per-site
+  inline page caches invalidated by an epoch over the shared page
+  guard; all cached state is dropped after every call out of the
+  dispatch loop, the only points a memo (or the D-TLB entry proving
+  it valid) can be purged or a cache line evicted behind our back;
+* loop regions elide steady-state I-cache probes: after one full
+  iteration has probed every trace line eagerly, later fetches are
+  proven hits credited by the static catch-up, and the LRU
+  permutation a full eager iteration would have produced is replayed
+  from a precomputed rotation table (``IRT``) at the exit point;
+* the loop backedge re-checks the instruction budget so
+  ``step_block(limit)`` never overshoots — the snapshot machinery's
+  exact-pause contract survives;
+* a mid-region SMC store aborts the pass via the ``_block_abort``
+  protocol shared with tier 2 (the store's own retirement is completed
+  first, so the deopt is bit-identical to the slow path).
 
 ``ld.ro`` (the ROLoad family) is never cached: every execution syncs
 and takes the full ``Core.load`` -> ``MMU.translate`` path so the
 read-only + key check actually runs (DESIGN.md paragraph 8), then drops
 the cached views. Flat regions are invalidated by ``Core._flush_blocks``
-exactly like tiers 1-3 (they live in the same ``core._regions`` map).
+exactly like tiers 1 and 2 (they live in the ``core._regions`` map).
 
 Array layout (parallel, one slot per stream entry):
 
@@ -58,8 +67,8 @@ JX    warm-replay exit index at this site (static)
 PCA   architectural pc at this site (sync sites)
 ====  =====================================================
 
-Bit-identity is enforced by the five-way differential suite
-(tests/test_fastpath_equivalence.py): slow/tier1/tier2/tier3/tier4 all
+Bit-identity is enforced by the four-way differential suite
+(tests/test_fastpath_equivalence.py): slow/tier1/tier2/tier4 all
 produce identical architectural state, counters included.
 """
 
@@ -77,8 +86,9 @@ from repro.utils.bits import sext, to_u64
 _M64 = 0xFFFFFFFFFFFFFFFF
 _H63 = 0x8000000000000000
 
-# Lowering is ~100x cheaper than a tier-3 compile, so alternate-entry
-# duplicate heads are worth the second copy after far fewer arrivals.
+# Arrivals, in multiples of the region threshold, before an alternate
+# entry inside a live region gets its own copy. Lowering is cheap, so
+# the bar is low.
 DEFER_FACTOR = 8
 
 # The flat cached-view arms index little-endian "Q" casts; big-endian
@@ -184,17 +194,8 @@ _LD_OPS = {(8, True): OP_LD8, (4, True): OP_LD4S, (1, False): OP_LD1U}
 _ST_OPS = {8: OP_ST8, 4: OP_ST4, 1: OP_ST1}
 
 
-class FlatRegion(Region):
-    """A region lowered to the flat representation. Same trampoline
-    protocol as Region; the discriminator routes retire attribution."""
-
-    __slots__ = ()
-
-    tier4 = True
-
-
 def compile_region(core, head_pc, arrivals=0):
-    """Plan (tier-3 planner) and lower a flat region at ``head_pc``.
+    """Plan and lower a flat region at ``head_pc``.
 
     Returns None when no viable region exists, or ``DEFER`` (the
     regions sentinel — the trampoline compares identity) for a
@@ -213,10 +214,10 @@ def compile_region(core, head_pc, arrivals=0):
         if _config.current().jit_debug:
             raise
         return None
-    return FlatRegion(fn, plan.n, plan.members[0].vpn, head_pc,
-                      tuple(m.pc for m in plan.members), plan.loop,
-                      tuple((m.pc, m.entries[-1][2] + 4)
-                            for m in plan.members))
+    return Region(fn, plan.n, plan.members[0].vpn, head_pc,
+                  tuple(m.pc for m in plan.members), plan.loop,
+                  tuple((m.pc, m.entries[-1][2] + 4)
+                        for m in plan.members))
 
 
 def _lower(core, plan):
@@ -292,9 +293,9 @@ def _lower(core, plan):
         if kind in ("branch", "jal", "jalr") and not member_last:
             raise ValueError("control flow before member end")
         if j == 0 and i and m.vpn != prev_vpn:
-            # Member page transition: same exit-to-trampoline protocol
-            # as tier 3 (the trampoline recheck retranslates and
-            # resumes at this pc through the member's tier-2 block).
+            # Member page transition: exit to the trampoline, whose
+            # recheck retranslates and resumes at this pc through the
+            # member's tier-2 block.
             emit(OP_MEMCHK, imv=m.vpn, x=pc)
         if j == 0:
             prev_vpn = m.vpn
@@ -509,7 +510,7 @@ def _bind(core, plan, dside, OPS, A, B, C, IM, X, NI, BP, MU, PQ, JX,
     EPB = [0]               # persistent epoch box (monotonic)
 
     # Deferred LRU replay: the lists carry MOVES only; dedup-by-last
-    # replay reconstructs the eager order (tier-3 protocol).
+    # replay reconstructs the eager order.
     dl = []
     dla = dl.append
     cl = []

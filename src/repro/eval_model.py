@@ -12,10 +12,9 @@ module is the single typed surface they all speak now:
 * :class:`CampaignResult` — a whole campaign: baseline facts plus the
   classified runs, rendering and serializing through the table.
 
-Compatibility: the old dict shapes (``InjectionRecord.to_dict()``,
-``CampaignReport.to_dict()``) are preserved bit-for-bit by
-:meth:`RunResult.to_dict` / :meth:`CampaignResult.to_dict`; the old
-class names survive as deprecated aliases in :mod:`repro.replay.inject`.
+Compatibility: the dict shapes of the injection harness's original
+record and report classes are preserved bit-for-bit by
+:meth:`RunResult.to_dict` / :meth:`CampaignResult.to_dict`.
 """
 
 from __future__ import annotations
@@ -201,9 +200,10 @@ class DetectionTable:
 class CampaignResult:
     """A classified campaign: the baseline facts plus every run.
 
-    This is the PR 5 ``CampaignReport`` promoted to the shared model —
-    same field names, same methods, same serialized shape — so the
-    injection harness and the fuzzer publish interchangeable results.
+    The injection harness's original campaign report promoted to the
+    shared model — same field names, same methods, same serialized
+    shape — so the injection harness and the fuzzer publish
+    interchangeable results.
     """
 
     baseline_exit: "Optional[int]"

@@ -104,8 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Bench record schema (see repro.tools.benchtool): versions the
 # validator accepts, and what each sweep/residency must carry. v5
-# added the tier-4 flat-core sweep; committed v3/v4 records must keep
-# validating so the gate can run against historical baselines.
+# added the tier-4 flat-core sweep; committed v3/v4 records (and v5
+# records with the since-removed tier-3 sweep) must keep validating so
+# the gate can run against historical baselines.
 BENCH_SCHEMA_VERSIONS = (3, 4, 5)
 
 _SWEEP_REQUIRED = ("tier", "wall_seconds", "sim_mips",
@@ -386,8 +387,8 @@ def _summarize_metrics(snapshot: dict) -> str:
 
 
 def _summarize_bench(record: dict) -> str:
-    """A roload-bench record as a per-tier residency/perf table (all
-    five tiers, tier 4 included)."""
+    """A roload-bench record as a per-tier residency/perf table (every
+    tier the record swept, including the tier-3 sweep of older records)."""
     version = record.get("schema_version", "?")
     lines = [f"roload-bench record (schema v{version}): "
              f"scale {record.get('scale', '?')}, "

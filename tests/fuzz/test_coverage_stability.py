@@ -15,7 +15,7 @@ from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.executor import WarmVictimPool
 from repro.fuzz.target import VictimSpec
 
-TIERS = ("slow", "tier1", "tier2", "tier3", "tier4")
+TIERS = ("slow", "tier1", "tier2", "tier4")
 
 
 @pytest.fixture(scope="module")

@@ -4,9 +4,9 @@ Three layers of proof:
 
 * behavioural — a full kernel run with the switchboard off allocates no
   buffers and emits no events;
-* structural — the per-instruction slow path and the generated tier-2,
-  tier-3, and tier-4 code contain no reference to the obs layer at all
-  (the only hot-path cost anywhere is one ``enabled`` attribute test at
+* structural — the per-instruction slow path, the generated tier-2
+  code and the tier-4 flat core contain no reference to the obs layer
+  at all (the only hot-path cost anywhere is one ``enabled`` test at
   cold sites, plus one ``is not None`` test at the batch observation
   points);
 * end-to-end — a tier-2 mini-sweep with REPRO_OBS=0 passes the existing
@@ -22,7 +22,6 @@ from repro.asm import assemble, link
 from repro.cpu import TimingModel
 from repro.cpu.core import Core
 from repro.cpu.jit import _generate
-from repro.cpu import regions as regions_mod
 from repro.kernel import Kernel
 from repro.mem import MMU, PhysicalMemory
 from repro.soc import build_system
@@ -102,28 +101,14 @@ def test_tier2_generated_source_has_no_obs_reference(monkeypatch):
     assert "obs" not in source.lower()
 
 
-def _region_core(monkeypatch, tier4=False):
+def _region_core(monkeypatch):
     monkeypatch.setenv("REPRO_JIT_DEBUG", "1")
     memory = PhysicalMemory(1 << 20)
     core = Core(memory, MMU(memory), timing=TimingModel(),
                 fast_path=True, jit=True, jit_threshold=2,
-                tier3=True, tier4=tier4, region_threshold=2)
+                tier3=True, region_threshold=2)
     core.pc = CODE_BASE
     return core
-
-
-def test_tier3_region_source_has_no_obs_reference(monkeypatch):
-    """Tier-3 superblocks are also pure generated Python: the region
-    compiler must emit no observability reference either."""
-    core = _region_core(monkeypatch)
-    countdown_loop(core, 50)
-    run_to_ebreak(core)
-    assert core.regions_compiled >= 1
-    head_pc = next(iter(core._regions))
-    plan = regions_mod._plan(core, head_pc)
-    assert plan is not None
-    source, __, __ = regions_mod._generate(core, plan)
-    assert "obs" not in source.lower()
 
 
 def test_tier4_flat_core_has_no_obs_reference(monkeypatch):
@@ -135,12 +120,11 @@ def test_tier4_flat_core_has_no_obs_reference(monkeypatch):
     assert "_OBS" not in source
     assert "repro.obs" not in source
 
-    core = _region_core(monkeypatch, tier4=True)
+    core = _region_core(monkeypatch)
     countdown_loop(core, 50)
     run_to_ebreak(core)
-    assert core.flat_regions_compiled >= 1
+    assert core.regions_compiled >= 1
     region = next(iter(core._regions.values()))
-    assert region.tier4
     names = set(region.fn.__code__.co_names)
     names |= set(region.fn.__code__.co_freevars)
     names |= set(region.fn.__code__.co_varnames)
@@ -181,7 +165,6 @@ def test_tier4_sweep_with_sampling_on_passes_the_bench_gate(monkeypatch):
     monkeypatch.setenv("REPRO_FASTPATH", "1")
     monkeypatch.setenv("REPRO_JIT", "1")
     monkeypatch.setenv("REPRO_TIER3", "1")
-    monkeypatch.setenv("REPRO_TIER4", "1")
     obs.disable()
     benchmarks, variants, scale = ("429.mcf",), ("base",), 0.5
     reference = _run_sweep(benchmarks, variants, scale,

@@ -94,8 +94,10 @@ class TestCreateValidation:
             _parse(**{**self.BASE, "variant": "extreme"})
 
     def test_unknown_tier_denied(self):
-        with pytest.raises(ServeError, match="unknown tier"):
-            _parse(**{**self.BASE, "tier": "tier9"})
+        # tier3 named the removed region code generator.
+        for tier in ("tier9", "tier3"):
+            with pytest.raises(ServeError, match="unknown tier"):
+                _parse(**{**self.BASE, "tier": tier})
 
     def test_bad_scale_denied(self):
         with pytest.raises(ServeError, match="scale"):

@@ -56,6 +56,10 @@ class TestSessionLifecycle:
         assert result["state"] == RUNNING
         assert session.retired == 500
 
+    def test_unknown_tier_fork_denied(self, pool, warm_key):
+        with pytest.raises(ServeError, match="unknown tier"):
+            pool.fork(warm_key, tier="tier3")
+
     def test_step_zero_denied(self, pool, warm_key):
         session = _fork_session(pool, warm_key)
         with pytest.raises(ServeError, match="not positive"):
